@@ -64,8 +64,9 @@ class RunDir:
 
 
 def make_hermetic(label: str) -> RunDir:
-    """Clear every ``REPRO_*`` knob, pin temp and crash directories into
-    a fresh run dir, and put the checkout's ``src`` first on the path.
+    """Clear every ``REPRO_*`` knob, pin BLAS to one thread, pin temp and
+    crash directories into a fresh run dir, and put the checkout's
+    ``src`` first on the path.
 
     The environment built here is also what the daemon inherits, so the
     generator and the service see the same clean settings."""
@@ -74,6 +75,11 @@ def make_hermetic(label: str) -> RunDir:
     os.chdir(ROOT)
     for key in [k for k in os.environ if k.startswith("REPRO_")]:
         del os.environ[key]
+    # One BLAS thread, set before NumPy loads: the workloads are single
+    # threaded, and OpenBLAS's idle threads otherwise spin on the second
+    # core that the daemon, its workers or the host need.
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ[key] = "1"
     run = RunDir(label)
     os.environ["REPRO_CRASH_DIR"] = run.crashes
     os.environ["TMPDIR"] = run.tmp

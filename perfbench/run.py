@@ -6,8 +6,9 @@
 Workloads (see BENCHMARK.json for why each was chosen):
 
 * ``serve_warm``    -- resident programs re-sent with their SDFG body to
-  ``python -m repro.serve`` over two closed-loop connections;
-* ``serve_cold``    -- a never-seen 4-link GEMM chain on every request;
+  ``python -m repro.serve`` over one closed-loop connection;
+* ``serve_cold``    -- a never-seen 4-link GEMM chain on every request,
+  over two connections;
 * ``paper_kernels`` -- the paper's kernels, compiled once and called
   round-robin in process.
 

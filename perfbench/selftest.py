@@ -27,11 +27,12 @@ from perfbench import common  # noqa: E402
 
 SEED = 11
 
-#: workload -> (fixed count, counts that must repeat exactly).  260
-#: requests per connection put each of the two workers well past its
-#: 200th request and well short of its 400th, so pool.recycled is 2.
+#: workload -> (fixed count, counts that must repeat exactly).  520
+#: requests on serve_warm's one connection put each of the two workers
+#: well past its 200th request and well short of its 400th, so
+#: pool.recycled is 2.
 REPEATS = {
-    "serve_warm": (260, ("protocol.request_kb", "worker.artifact_hit_ratio",
+    "serve_warm": (520, ("protocol.request_kb", "worker.artifact_hit_ratio",
                          "pool.recycled")),
     "serve_cold": (15, ("progcache.stores",)),
     "paper_kernels": (2, ("transformations.applied",)),
@@ -76,7 +77,8 @@ def check_wrong_expected_fails() -> None:
                                     per_connection=3, wrong=True)
         finally:
             daemon.stop()
-        if tally.failed != tally.attempted or tally.attempted != 6:
+        sent = 3 * served.CONNECTIONS["serve_warm"]
+        if tally.failed != tally.attempted or tally.attempted != sent:
             raise AssertionError(f"served: {tally.failed} of {tally.attempted} failed")
         print("ok  served: wrong expected values count as failed")
 
