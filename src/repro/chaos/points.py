@@ -32,20 +32,20 @@ CATALOG: Dict[str, FaultPoint] = {
     ),
     # --- caches ------------------------------------------------------
     "progcache.disk_write": FaultPoint(
-        "cache", "repro.codegen.progcache",
+        "cache", "repro.store",
         "program-cache disk store fails or tears (corrupt = torn write "
         "quarantined on the next read)",
     ),
     "progcache.disk_read": FaultPoint(
-        "cache", "repro.codegen.progcache",
+        "cache", "repro.store",
         "program-cache disk read fails or returns a torn entry",
     ),
     "tuningcache.disk_write": FaultPoint(
-        "cache", "repro.tuning.cache",
+        "cache", "repro.store",
         "tuning-cache store fails or tears",
     ),
     "tuningcache.disk_read": FaultPoint(
-        "cache", "repro.tuning.cache",
+        "cache", "repro.store",
         "tuning-cache read fails or returns a torn entry",
     ),
     # --- runtime -----------------------------------------------------

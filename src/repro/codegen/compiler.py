@@ -78,6 +78,16 @@ def _classify_hop_code(err: BaseException) -> Optional[str]:
     return None
 
 
+def _hop(current: str, nxt: Optional[str], error: str, code: Optional[str],
+         message: str, reason: Optional[str] = None, **extra: Any) -> Dict[str, Any]:
+    """One record of the degradation chain; ``reason`` defaults to the
+    first line of ``message``."""
+    if reason is None:
+        reason = message.splitlines()[0] if message else ""
+    return {"from": current, "to": nxt, "error": error, "code": code,
+            "reason": reason, "message": message, **extra}
+
+
 class CompiledSDFG:
     """A callable compiled SDFG (the paper's 'compiled library')."""
 
@@ -205,16 +215,10 @@ class CompiledSDFG:
                 result = self._call_entry(arrays, symbols, recorder, guard)
             except WatchdogViolation as err:
                 BREAKERS.record_failure(self.backend, code="R805")
-                self.degradation.append(
-                    {
-                        "from": self.backend,
-                        "to": None,
-                        "error": type(err).__name__,
-                        "code": "R805",
-                        "reason": err.diagnostic.message.splitlines()[0],
-                        "message": str(err),
-                    }
-                )
+                self.degradation.append(_hop(
+                    self.backend, None, type(err).__name__, "R805", str(err),
+                    reason=err.diagnostic.message.splitlines()[0],
+                ))
                 raise
             except BackendCrashError as err:
                 # The crash was contained by the subprocess harness and
@@ -240,15 +244,8 @@ class CompiledSDFG:
             nxt = DEGRADATION_CHAIN.get(current)
             if nxt is None:
                 return False
-            hop = {
-                "from": current,
-                "to": nxt,
-                "error": type(err).__name__,
-                "code": _classify_hop_code(err),
-                "reason": str(err).splitlines()[0],
-                "message": str(err),
-                "attempts": attempts,
-            }
+            hop = _hop(current, nxt, type(err).__name__, _classify_hop_code(err),
+                       str(err), attempts=attempts)
             bundle = getattr(err, "bundle", None)
             if bundle:
                 hop["bundle"] = bundle
@@ -486,18 +483,13 @@ def compile_sdfg(
                 nxt_open = DEGRADATION_CHAIN.get(current)
                 if fallback and nxt_open is not None and BREAKERS.is_open(current):
                     n = BREAKERS.failures(current)
-                    hops.append(
-                        {
-                            "from": current,
-                            "to": nxt_open,
-                            "error": "CircuitBreakerOpen",
-                            "code": BREAKERS.last_code(current) or "E201",
-                            "reason": f"circuit breaker open after {n} failures",
-                            "message": f"backend {current!r} skipped: circuit "
-                            f"breaker open after {n} consecutive call-time "
-                            "failures",
-                        }
-                    )
+                    hops.append(_hop(
+                        current, nxt_open, "CircuitBreakerOpen",
+                        BREAKERS.last_code(current) or "E201",
+                        f"backend {current!r} skipped: circuit breaker open "
+                        f"after {n} consecutive call-time failures",
+                        reason=f"circuit breaker open after {n} failures",
+                    ))
                     current = nxt_open
                     continue
                 t0 = time.perf_counter()
@@ -519,17 +511,8 @@ def compile_sdfg(
                     nxt = DEGRADATION_CHAIN.get(current)
                     if nxt is None or not fallback:
                         raise
-                    message = str(err)
-                    hops.append(
-                        {
-                            "from": current,
-                            "to": nxt,
-                            "error": type(err).__name__,
-                            "code": _classify_hop_code(err),
-                            "reason": message.splitlines()[0] if message else "",
-                            "message": message,
-                        }
-                    )
+                    hops.append(_hop(current, nxt, type(err).__name__,
+                                     _classify_hop_code(err), str(err)))
                     current = nxt
                     continue
                 crec.event(

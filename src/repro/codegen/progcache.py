@@ -12,11 +12,14 @@ in-process hit — even ``exec``.  The cache is two-tier:
 
 * an in-memory LRU (``OrderedDict``) holding the entry *and* the already
   ``exec``'d entry callable, and
-* an optional on-disk tier (one JSON file per entry) following the
-  :class:`repro.tuning.cache.TuningCache` conventions: schema-versioned
-  entries, **atomic writes** via ``os.replace``, **mtime-LRU eviction**,
-  and **corrupt-entry quarantine** (unreadable or mismatched files are
-  deleted and counted as misses, never raised).
+* an optional on-disk tier, a :class:`repro.store.ContentStore` in the
+  ``progcache`` namespace — the same content-addressed store as the
+  tuning cache, so both share one envelope, atomic writes, mtime-LRU
+  eviction, and corrupt-entry handling (unreadable or mismatched files
+  are deleted and counted as misses, never raised).
+
+This module keeps only what is specific to programs: the key, the
+payload validation of :class:`ProgramCacheEntry`, and the memory tier.
 
 Selection is explicit: the cache is *off* by default so existing
 pipelines (and the fault-injection harness, which relies on backends
@@ -28,13 +31,12 @@ cache="memory"|"disk")``, a :class:`ProgramCache` instance, or the
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.chaos import faultpoint
-from repro.filelock import FileLock
+from repro.store import SCHEMA_VERSION as CACHE_SCHEMA_VERSION
+from repro.store import ContentStore
 from repro.telemetry.sink import active_sink
 
 #: Bump whenever generated-code semantics change; part of every key, so
@@ -42,8 +44,14 @@ from repro.telemetry.sink import active_sink
 #: v2: entry functions grew the ``__guard`` parameter (sanitizer/watchdog).
 CODEGEN_VERSION = 3
 
-#: Entry file layout version; mismatched files are quarantined as misses.
-CACHE_SCHEMA_VERSION = 1
+#: Counter attribute bumped by each cache event.
+_COUNTERS = {
+    "hit": "hits",
+    "miss": "misses",
+    "store": "stores",
+    "evict": "evictions",
+    "corrupt": "corrupt",
+}
 
 
 def program_key(sdfg_hash: str, backend: str, variant: str = "") -> str:
@@ -103,7 +111,6 @@ class ProgramCacheEntry:
 
     def to_json(self) -> Dict[str, Any]:
         return {
-            "schema": CACHE_SCHEMA_VERSION,
             "key": self.key,
             "backend": self.backend,
             "sdfg_name": self.sdfg_name,
@@ -118,7 +125,6 @@ class ProgramCacheEntry:
     def from_json(obj: Any) -> "ProgramCacheEntry":
         if (
             not isinstance(obj, dict)
-            or obj.get("schema") != CACHE_SCHEMA_VERSION
             or obj.get("codegen_version") != CODEGEN_VERSION
             or not isinstance(obj.get("key"), str)
             or not isinstance(obj.get("source"), str)
@@ -153,31 +159,19 @@ class ProgramCache:
         self.stores = 0
         self.evictions = 0
         self.corrupt = 0
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+        self._disk = (
+            ContentStore(cache_dir, "progcache", self.max_entries, self._count)
+            if cache_dir
+            else None
+        )
 
-    def _tap(self, event: str, n: int = 1) -> None:
-        """Mirror one counter bump into the active telemetry sink."""
+    def _count(self, event: str) -> None:
+        """Bump one counter and mirror it into the active telemetry sink."""
+        attr = _COUNTERS[event]
+        setattr(self, attr, getattr(self, attr) + 1)
         sink = active_sink()
         if sink is not None:
-            sink.publish("cache", "progcache", fields={"event": event, "n": n})
-
-    # ---------------------------------------------------------------- paths
-    def _path(self, key: str) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"{key}.json")
-
-    def _dir_lock(self) -> Optional[FileLock]:
-        """Cross-process lock serializing multi-file disk operations
-        (eviction, quarantine) against other worker processes sharing
-        this cache directory.  Single-file writes stay lock-free — they
-        are already atomic via ``os.replace``.  Best-effort: a lock that
-        cannot be acquired degrades to the lock-free behavior rather
-        than failing the compile."""
-        if self.cache_dir is None:
-            return None
-        lock = FileLock(os.path.join(self.cache_dir, ".lock"), timeout=5.0)
-        return lock if lock.acquire(best_effort=True) else None
+            sink.publish("cache", "progcache", fields={"event": event, "n": 1})
 
     # --------------------------------------------------------------- lookup
     def lookup(self, key: str) -> Optional[Tuple[ProgramCacheEntry, Optional[Callable]]]:
@@ -191,45 +185,15 @@ class ProgramCache:
         cached = self._memory.get(key)
         if cached is not None:
             self._memory.move_to_end(key)
-            self.hits += 1
-            self._tap("hit")
+            self._count("hit")
             return cached
-        if self.cache_dir is None:
-            self.misses += 1
-            self._tap("miss")
+        entry = None
+        if self._disk is not None:
+            entry = self._disk.get(key, ProgramCacheEntry.from_json)
+        if entry is None:
+            self._count("miss")
             return None
-        path = self._path(key)
-        try:
-            with open(path) as f:
-                raw = f.read()
-            raw = faultpoint("progcache.disk_read", payload=raw)
-            entry = ProgramCacheEntry.from_json(json.loads(raw))
-            if entry.key != key:
-                raise ValueError("key mismatch in program cache entry")
-        except FileNotFoundError:
-            self.misses += 1
-            self._tap("miss")
-            return None
-        except (OSError, ValueError, json.JSONDecodeError):
-            self.corrupt += 1
-            self.misses += 1
-            self._tap("corrupt")
-            self._tap("miss")
-            lock = self._dir_lock()
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            finally:
-                if lock is not None:
-                    lock.release()
-            return None
-        self.hits += 1
-        self._tap("hit")
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
+        self._count("hit")
         self._remember(key, entry, None)
         return self._memory[key]
 
@@ -242,71 +206,19 @@ class ProgramCache:
 
     # ---------------------------------------------------------------- store
     def store(self, key: str, entry: ProgramCacheEntry, fn: Optional[Callable] = None) -> None:
-        """Store an entry in both tiers (disk write is atomic)."""
+        """Store an entry in both tiers (disk write is atomic).  Aliases
+        store under their own key: the store stamps ``key`` on the file."""
         self._remember(key, entry, fn)
-        self.stores += 1
-        self._tap("store")
-        if self.cache_dir is None:
-            return
-        record = entry.to_json()
-        record["key"] = key  # aliases store under their own key
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            data = json.dumps(record, indent=1, sort_keys=True)
-            # A `corrupt` rule here lands a genuinely torn entry on disk
-            # (quarantined by the next read or by fsck); `raise-io` /
-            # `enospc` exercise the store-is-best-effort contract.
-            data = faultpoint("progcache.disk_write", payload=data)
-            with open(tmp, "w") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            return
-        self._evict_disk()
+        self._count("store")
+        if self._disk is not None:
+            self._disk.put(key, entry.to_json())
 
     def _remember(self, key: str, entry: ProgramCacheEntry, fn: Optional[Callable]) -> None:
         self._memory[key] = (entry, fn)
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
-            self.evictions += 1
-            self._tap("evict")
-
-    # ------------------------------------------------------------- eviction
-    def _evict_disk(self) -> None:
-        lock = self._dir_lock()
-        try:
-            try:
-                names = os.listdir(self.cache_dir)
-            except OSError:
-                return
-            entries = []
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(self.cache_dir, name)
-                try:
-                    entries.append((os.path.getmtime(path), path))
-                except OSError:
-                    continue
-            if len(entries) <= self.max_entries:
-                return
-            entries.sort()  # oldest mtime first
-            for _, path in entries[: len(entries) - self.max_entries]:
-                try:
-                    os.remove(path)
-                    self.evictions += 1
-                    self._tap("evict")
-                except OSError:
-                    pass
-        finally:
-            if lock is not None:
-                lock.release()
+            self._count("evict")
 
     # ------------------------------------------------------------- counters
     def stats(self) -> Dict[str, int]:
@@ -335,11 +247,11 @@ def shared_cache() -> ProgramCache:
     return _SHARED
 
 
-def _disk_cache(cache_dir: str) -> ProgramCache:
+def _disk_cache(cache_dir: str, max_entries: int = 256) -> ProgramCache:
     key = os.path.realpath(cache_dir)
     cache = _DISK.get(key)
     if cache is None:
-        cache = _DISK[key] = ProgramCache(cache_dir=key)
+        cache = _DISK[key] = ProgramCache(cache_dir=key, max_entries=max_entries)
     return cache
 
 
@@ -380,12 +292,7 @@ def namespaced_cache(root_dir: str, namespace: str,
     registered in the per-directory table so repeat calls share the
     memory tier.
     """
-    path = os.path.join(root_dir, safe_namespace(namespace))
-    key = os.path.realpath(path)
-    cache = _DISK.get(key)
-    if cache is None:
-        cache = _DISK[key] = ProgramCache(cache_dir=key, max_entries=max_entries)
-    return cache
+    return _disk_cache(os.path.join(root_dir, safe_namespace(namespace)), max_entries)
 
 
 def resolve_cache(cache: Any) -> Optional[ProgramCache]:

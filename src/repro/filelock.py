@@ -1,14 +1,13 @@
-"""Cross-process file locking for the on-disk caches.
+"""Cross-process file locking for the on-disk content store.
 
-The :class:`~repro.codegen.progcache.ProgramCache` and
-:class:`~repro.tuning.cache.TuningCache` disk tiers already write
-atomically (``os.replace``), which is enough for single-writer use.  The
-worker pool of :mod:`repro.serve` breaks that assumption: many worker
-processes share one cache directory, and concurrent *LRU eviction* and
-*corrupt-entry quarantine* race — two processes can both decide to evict
-the same set of files, or a reader can quarantine an entry a writer is
-mid-refresh on.  :class:`FileLock` serializes those multi-file critical
-sections.
+:class:`~repro.store.ContentStore` — the store behind the program cache
+and the tuning cache — already writes atomically (``os.replace``),
+which is enough for single-writer use.  The worker pool of
+:mod:`repro.serve` breaks that assumption: many worker processes share
+one store directory, and concurrent *LRU eviction* and *corrupt-entry
+deletion* race — two processes can both decide to evict the same set of
+files, or a reader can delete an entry a writer is mid-refresh on.
+:class:`FileLock` serializes those multi-file critical sections.
 
 Implementation: ``fcntl.flock`` on a dedicated ``.lock`` file when the
 platform has it (Linux/macOS — always true for this repo's CI), with an
@@ -41,7 +40,7 @@ class FileLock:
     Usage::
 
         with FileLock(os.path.join(cache_dir, ".lock")):
-            ...  # multi-file critical section (eviction, quarantine)
+            ...  # multi-file critical section (eviction, deletion)
 
     Locking is best-effort by design: a cache must *never* fail a
     compile because of lock trouble, so callers that want that behavior

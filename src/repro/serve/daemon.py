@@ -248,6 +248,7 @@ class SDFGServer:
         # New connections stop here; established connections live on so
         # in-flight responses (and R809 rejections) can be written.
         if self._listener is not None:
+            self._accept_backlog()
             try:
                 self._listener.close()
             except OSError:
@@ -301,10 +302,28 @@ class SDFGServer:
                 continue
             except OSError:
                 return
-            handler = threading.Thread(
-                target=self._handle_connection, args=(conn,), daemon=True
-            )
-            handler.start()
+            self._spawn_handler(conn)
+
+    def _accept_backlog(self) -> None:
+        """Hand the connections still in the listen backlog to handlers
+        (which answer jobs with R809): closing the listener would reset
+        them.  Non-blocking, so this loop and the accept loop end once
+        the backlog is empty."""
+        try:
+            self._listener.setblocking(False)
+        except OSError:
+            return
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self._spawn_handler(conn)
+
+    def _spawn_handler(self, conn: socket.socket) -> None:
+        threading.Thread(
+            target=self._handle_connection, args=(conn,), daemon=True
+        ).start()
 
     def _housekeeping_loop(self) -> None:
         while not self._stop.wait(self.config.health_interval):

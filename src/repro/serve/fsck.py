@@ -2,13 +2,16 @@
 
 A crash — real or injected — can leave three kinds of debris behind:
 
-* **torn cache entries**: a disk cache file that is not valid JSON or
-  whose recorded key does not match its filename (a write that died
-  between ``open`` and ``os.replace``, or a corruption injected by the
-  chaos layer).  These are *quarantined* (moved into a ``.quarantine/``
-  sibling) rather than deleted, so a real incident keeps its evidence;
-* **orphaned temp files**: ``*.tmp.<pid>`` staging files whose writer
-  died before the atomic rename.  Removed;
+* **torn cache entries** and **orphaned temp files** in the program and
+  tuning caches.  Both caches keep their entries in a
+  :class:`repro.store.ContentStore`, and :meth:`ContentStore.fsck
+  <repro.store.ContentStore.fsck>` repairs one store directory: torn
+  entries (not valid JSON, or a recorded key that does not match the
+  filename) are *quarantined* into a ``.quarantine/`` sibling rather
+  than deleted, so a real incident keeps its evidence, and
+  ``*.tmp.<pid>`` staging files whose writer died before the atomic
+  rename are removed.  The cache half of this sweep runs it on every
+  directory under the cache root;
 * **stale crash bundles**: bundle directories missing their
   ``manifest.json`` (the writer died mid-bundle — quarantined), plus
   any overflow beyond the global retention cap (rotated away, oldest
@@ -21,69 +24,25 @@ were already clean, 3 when repairs were made.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from typing import Any, Dict, Optional
 
 from repro.runtime.isolation import crash_dir, crash_keep
-
-#: Quarantine subdirectory name (skipped by subsequent sweeps).
-QUARANTINE = ".quarantine"
+from repro.store import QUARANTINE, ContentStore, quarantine
 
 
-def _quarantine(path: str, qdir: str) -> bool:
-    """Move ``path`` into ``qdir`` under a collision-free name."""
-    try:
-        os.makedirs(qdir, exist_ok=True)
-        base = os.path.basename(path.rstrip(os.sep))
-        target = os.path.join(qdir, base)
-        n = 0
-        while os.path.exists(target):
-            n += 1
-            target = os.path.join(qdir, f"{base}.{n}")
-        os.replace(path, target)
-        return True
-    except OSError:
-        return False
-
-
-def _entry_is_sound(path: str) -> bool:
-    """A disk cache entry parses and self-identifies correctly."""
-    key = os.path.basename(path)[: -len(".json")]
-    try:
-        with open(path) as f:
-            entry = json.load(f)
-    except (OSError, ValueError):
-        return False
-    return isinstance(entry, dict) and entry.get("key") == key
-
-
-def sweep_cache_tree(root: str) -> Dict[str, int]:
-    """Sweep one cache root (program and tuning caches share the entry
-    conventions: one ``<key>.json`` per entry, ``*.tmp.<pid>`` staging
-    files, atomic renames)."""
+def sweep_cache_tree(root: Optional[str]) -> Dict[str, int]:
+    """Run the store's fsck on every directory under one cache root
+    (per-tenant program caches and tuning caches alike)."""
     report = {"scanned": 0, "quarantined": 0, "tmp_removed": 0}
-    if not os.path.isdir(root):
+    if not root or not os.path.isdir(root):
         return report
-    for dirpath, dirnames, filenames in os.walk(root):
+    for dirpath, dirnames, _ in os.walk(root):
         # Never descend into quarantine: debris there is already handled.
         dirnames[:] = [d for d in dirnames if d != QUARANTINE]
-        qdir = os.path.join(dirpath, QUARANTINE)
-        for name in filenames:
-            path = os.path.join(dirpath, name)
-            if ".tmp." in name:
-                try:
-                    os.remove(path)
-                    report["tmp_removed"] += 1
-                except OSError:
-                    pass
-                continue
-            if not name.endswith(".json"):
-                continue
-            report["scanned"] += 1
-            if not _entry_is_sound(path) and _quarantine(path, qdir):
-                report["quarantined"] += 1
+        for field, n in ContentStore(dirpath).fsck().items():
+            report[field] += n
     return report
 
 
@@ -107,7 +66,7 @@ def sweep_crash_tree(root: str, keep: Optional[int] = None) -> Dict[str, int]:
             continue
         report["scanned"] += 1
         if not os.path.isfile(os.path.join(path, "manifest.json")):
-            if _quarantine(path, qdir):
+            if quarantine(path, qdir):
                 report["quarantined"] += 1
             continue
         try:
@@ -132,9 +91,7 @@ def fsck_sweep(
 ) -> Dict[str, Any]:
     """Run the full sweep; returns a report with ``clean`` = True when
     nothing needed fixing."""
-    cache = sweep_cache_tree(cache_root) if cache_root else {
-        "scanned": 0, "quarantined": 0, "tmp_removed": 0,
-    }
+    cache = sweep_cache_tree(cache_root)
     crash = sweep_crash_tree(crash_root or crash_dir(), keep=keep_bundles)
     repairs = (
         cache["quarantined"] + cache["tmp_removed"]

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.serve.client import ServeClient, ServeTimeout
+from repro.telemetry.aggregate import percentile
 
 
 # ------------------------------------------------------------- kernels
@@ -77,12 +78,6 @@ def runaway_sdfg():
     before = sdfg.add_state("init", is_start=True)
     sdfg.add_loop(before, body, None, "it", 0, "it < N", "it")  # it never grows
     return sdfg
-
-
-def percentile(samples: List[float], q: float) -> Optional[float]:
-    if not samples:
-        return None
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
 
 
 # ------------------------------------------------------------ the drive
