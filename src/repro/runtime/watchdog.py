@@ -158,10 +158,11 @@ class RetryPolicy:
     thundering-herd it with synchronized probes.  The RNG is injectable
     (``rng=random.Random(seed)``) so delay schedules stay deterministic
     in tests; each policy otherwise gets its own independently seeded
-    generator.
+    generator, created on first draw (a policy is resolved on every
+    call, and most never back off with jitter).
     """
 
-    __slots__ = ("retries", "backoff", "jitter", "rng")
+    __slots__ = ("retries", "backoff", "jitter", "_rng")
 
     def __init__(
         self,
@@ -173,7 +174,13 @@ class RetryPolicy:
         self.retries = max(0, int(retries))
         self.backoff = max(0.0, float(backoff))
         self.jitter = min(1.0, max(0.0, float(jitter)))
-        self.rng = rng if rng is not None else random.Random()
+        self._rng = rng
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random()
+        return self._rng
 
     @staticmethod
     def from_env() -> "RetryPolicy":

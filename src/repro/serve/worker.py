@@ -12,9 +12,13 @@ Because the worker survives across requests it keeps state the
 spawn-per-call harness could not:
 
 * an LRU of fully-built :class:`~repro.codegen.compiler.CompiledSDFG`
-  artifacts keyed by ``(content_hash, backend, tenant, sanitize)`` — a
-  warm execute skips compile *and* ``exec`` *and* argument re-validation
-  (the marshaling plan lives on the artifact);
+  artifacts keyed by ``(content_hash, backend, tenant, sanitize,
+  parallel)`` — a warm execute skips compile *and* ``exec`` *and*
+  argument re-validation (the marshaling plan lives on the artifact);
+* a bounded map from the SHA-256 of each received ``sdfg`` body to its
+  ``content_hash``, so a warm request that re-sends the same body goes
+  straight to the artifact LRU without ``sdfg_from_json`` or
+  ``content_hash`` (a miss decodes and hashes as before);
 * per-tenant :class:`~repro.codegen.progcache.ProgramCache` tiers
   (disk-backed under ``--cache-root``) so a recycled worker's
   replacement warms up from disk instead of from scratch.
@@ -31,6 +35,8 @@ deaths (``SIGSEGV``) and hangs without depending on a host C++ compiler.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import signal
 import sys
@@ -50,6 +56,8 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 #: Max fully-built artifacts kept hot in one worker.
 MAX_PROGRAMS = 32
+#: Max body digests remembered; a full map is cleared wholesale.
+MAX_DIGESTS = 4 * MAX_PROGRAMS
 
 
 def _rss_kb() -> Optional[int]:
@@ -67,6 +75,12 @@ def _rss_kb() -> Optional[int]:
     return rss + live_pool_rss_kb()
 
 
+def body_digest(sdfg_json: Any) -> str:
+    """SHA-256 of an ``sdfg`` body in the wire's canonical JSON form."""
+    line = json.dumps(sdfg_json, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(line.encode("utf-8")).hexdigest()
+
+
 def fault_injection_enabled() -> bool:
     return os.environ.get("REPRO_SERVE_FAULT_INJECTION", "").strip().lower() in (
         "1", "true", "on", "yes",
@@ -78,8 +92,11 @@ class WorkerRuntime:
 
     def __init__(self, cache_root: Optional[str] = None):
         self.cache_root = cache_root
-        #: (content_hash, backend, tenant, sanitize) -> CompiledSDFG
+        #: (content_hash, backend, tenant, sanitize, parallel) -> CompiledSDFG
         self._programs: "OrderedDict[tuple, Any]" = OrderedDict()
+        #: body_digest(sdfg body) -> content_hash, recorded only after a
+        #: successful decode and hash of that body.
+        self._digests: Dict[str, str] = {}
         self._mem_caches: Dict[str, Any] = {}
         self.served = 0
         self.started = time.monotonic()
@@ -102,14 +119,23 @@ class WorkerRuntime:
         self._programs[key] = compiled
         self._programs.move_to_end(key)
         while len(self._programs) > MAX_PROGRAMS:
-            _, evicted = self._programs.popitem(last=False)
-            # The artifact may own a parallel worker pool; eviction is
-            # the end of its life here, so tear the pool down instead of
-            # leaking threads/fork children until GC gets around to it.
-            try:
-                evicted.close()
-            except Exception:  # noqa: BLE001 - eviction must not fail a request
-                pass
+            self._evict_oldest()
+
+    def _evict_oldest(self) -> None:
+        _, evicted = self._programs.popitem(last=False)
+        # The artifact may own a parallel worker pool; eviction is the
+        # end of its life here, so tear the pool down instead of leaking
+        # threads/fork children until GC gets around to it.
+        try:
+            evicted.close()
+        except Exception:  # noqa: BLE001 - eviction must not fail a request
+            pass
+
+    def clear(self) -> None:
+        """Drop every resident artifact and every remembered body digest."""
+        while self._programs:
+            self._evict_oldest()
+        self._digests.clear()
 
     # ---------------------------------------------------------- faults
     @staticmethod
@@ -208,8 +234,14 @@ class WorkerRuntime:
 
         sdfg = None
         if program is None:
-            sdfg = sdfg_from_json(sdfg_json)
-            program = content_hash(sdfg)
+            digest = body_digest(sdfg_json)
+            program = self._digests.get(digest)
+            if program is None:
+                sdfg = sdfg_from_json(sdfg_json)
+                program = content_hash(sdfg)
+                if len(self._digests) >= MAX_DIGESTS:
+                    self._digests.clear()
+                self._digests[digest] = program
         key = (
             program,
             backend,

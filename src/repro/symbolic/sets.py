@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.symbolic import memo
 from repro.symbolic.expr import (
     Add,
     CeilDiv,
@@ -200,6 +201,13 @@ class Range:
         return hash((self.start, self.end, self.step, self.tile))
 
     def __str__(self) -> str:
+        # Ranges are immutable and rendering is a pure function of the
+        # bounds, so serialization and content hashing share one render.
+        return memo.memoized(
+            "range_str", (self.start, self.end, self.step, self.tile), self._render
+        )
+
+    def _render(self) -> str:
         if self.is_point():
             return str(self.start)
         s = f"{self.start}:{self.end}"
@@ -224,7 +232,14 @@ class Subset:
     # -- constructors --------------------------------------------------------
     @staticmethod
     def from_string(text: str) -> "Subset":
-        """Parse ``"0:N, k, 2*i:2*i+2"`` into a subset."""
+        """Parse ``"0:N, k, 2*i:2*i+2"`` into a subset.
+
+        Subsets are immutable, so the parse is memoized on the text.
+        """
+        return memo.memoized("subset_parse", text, lambda: Subset._parse(text))
+
+    @staticmethod
+    def _parse(text: str) -> "Subset":
         dims = _split_toplevel_commas(text)
         ranges = []
         for dim in dims:
@@ -354,8 +369,6 @@ class Subset:
         Subsets and ranges are immutable, so results are memoized on
         (subset, parameter ranges) identity.
         """
-        from repro.symbolic import memo
-
         try:
             key = (self, tuple(sorted(params.items())))
         except TypeError:

@@ -285,6 +285,20 @@ def test_retry_jitter_deterministic_with_injected_rng():
     assert [a.delay(n) for n in (0, 1, 2)] == [b.delay(n) for n in (0, 1, 2)]
 
 
+def test_retry_rng_is_created_on_first_jittered_draw():
+    """Resolving a policy (once per call) must not build a generator;
+    the first jittered backoff does, one per policy."""
+    a, b = RetryPolicy(backoff=0.05, jitter=0.3), RetryPolicy(backoff=0.05, jitter=0.3)
+    assert a._rng is None and RetryPolicy.from_env()._rng is None
+    plain = RetryPolicy(backoff=0.05)
+    plain.delay(0)
+    assert plain._rng is None
+    a.delay(0)
+    b.delay(0)
+    assert a._rng is not None and a.rng is a._rng
+    assert a.rng is not b.rng
+
+
 def test_retry_no_jitter_is_pure_exponential():
     policy = RetryPolicy(backoff=0.05, jitter=0.0)
     assert [policy.delay(n) for n in (0, 1, 2)] == [0.05, 0.1, 0.2]
